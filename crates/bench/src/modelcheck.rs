@@ -8,7 +8,7 @@
 //!   (happens-before cycle), `VP0017` (rendezvous deadlock), or a
 //!   `VP0005`/`VP0006` (missing participant / issue-order skew) whose
 //!   collective is a true rendezvous, i.e. the decode sampling barrier
-//!   (see [`is_hang_prediction`] for why the asynchronous cases are
+//!   (see `is_hang_prediction` for why the asynchronous cases are
 //!   backend hazards outside the VM's semantics);
 //! * the **dynamic** side executes the schedule on the model checker's
 //!   pass-VM and reports whether some interleaving deadlocks.

@@ -20,7 +20,9 @@ use vp_model::cost::VocabAlgo;
 use vp_model::partition::VocabPartition;
 use vp_tensor::ops::{local_softmax, softmax_correction, SoftmaxStats};
 use vp_tensor::optim::Param;
-use vp_tensor::{Result, Tensor, TensorError};
+use vp_tensor::{PackedNt, Result, Tensor, TensorError};
+
+use std::sync::OnceLock;
 
 /// One device's shard of the output vocabulary layer.
 ///
@@ -53,6 +55,11 @@ use vp_tensor::{Result, Tensor, TensorError};
 #[derive(Debug, Clone)]
 pub struct OutputShard {
     weight: Param,
+    /// The weight packed for the decode GEMV, built by the first
+    /// [`OutputShard::s_pass_decode`] and dropped by
+    /// [`OutputShard::weight_mut`], so it never outlives the value it
+    /// was packed from.
+    packed: OnceLock<PackedNt>,
     partition: VocabPartition,
     rank: usize,
 }
@@ -242,6 +249,7 @@ impl OutputShard {
         }
         Ok(OutputShard {
             weight: Param::new(weight),
+            packed: OnceLock::new(),
             partition,
             rank,
         })
@@ -276,7 +284,10 @@ impl OutputShard {
     }
 
     /// Mutable access to the weight parameter (for the optimizer step).
+    /// Drops the decode pack, which the next decode S pass rebuilds from
+    /// the updated value.
     pub fn weight_mut(&mut self) -> &mut Param {
+        self.packed = OnceLock::new();
         &mut self.weight
     }
 
@@ -632,10 +643,48 @@ fn beats(a: (f32, usize), b: (f32, usize)) -> bool {
     a.0 > b.0 || (a.0 == b.0 && a.1 < b.1)
 }
 
+/// The row's `k` best `(logit, global id)` candidates, best first under
+/// [`beats`], padded with `(−∞, 0)` when fewer than `k` qualify; `start`
+/// is the global id of the row's first column. This is exactly the first
+/// `k` entries of the row fully sorted by `beats`: ties go to the lowest
+/// id and `−∞` logits are ranked like any other value. A `NaN` logit
+/// never enters — it beats nothing, just as the strict `>` of
+/// [`vp_tensor::ops::argmax_rows`] never moves its pick onto one.
+///
+/// The row streams through `k` slots: once they are full, a candidate
+/// costs one comparison against the worst slot.
+fn top_k(row: &[f32], start: usize, k: usize) -> Vec<(f32, usize)> {
+    let mut best = Vec::with_capacity(k);
+    for (c, &v) in row.iter().enumerate() {
+        let cand = (v, start + c);
+        if v.is_nan() {
+            continue;
+        }
+        if best.len() == k {
+            if !beats(cand, best[k - 1]) {
+                continue;
+            }
+            best.pop();
+        }
+        let at = best.partition_point(|&b| beats(b, cand));
+        best.insert(at, cand);
+    }
+    best.resize(k, (f32::NEG_INFINITY, 0));
+    best
+}
+
 impl OutputShard {
     /// The forward-only `S` pass: sharded logits `y = X·Wᵀ` plus local
     /// softmax statistics and the shard's top-`k` candidates. No labels,
     /// no gradients — this is the decode half of §4.2's `S` pass.
+    ///
+    /// The logits come from the weight packed once ([`Tensor::pack_nt`],
+    /// cached until [`Self::weight_mut`]), so a step reads the shard in one
+    /// stream instead of re-packing it — bitwise the same logits as
+    /// `matmul_nt`. Each row then takes its max and exp-sum and streams
+    /// through `k` candidate slots: the first `k` of the row sorted by
+    /// logit (ties to the lowest id), padded with `(−∞, 0)`; a `NaN` logit
+    /// never enters.
     ///
     /// # Errors
     ///
@@ -647,7 +696,8 @@ impl OutputShard {
                 "decode needs at least one candidate per shard".into(),
             ));
         }
-        let y = x.matmul_nt(self.weight.value())?;
+        let packed = self.packed.get_or_init(|| self.weight.value().pack_nt());
+        let y = x.matmul_nt_packed(packed)?;
         let start = self.shard_start();
         let n = y.rows();
         let mut max = Vec::with_capacity(n);
@@ -659,25 +709,9 @@ impl OutputShard {
             // The stats feed only the logprob metric, so plain `exp` is
             // fine here; the token choice below never touches them.
             let s: f32 = row.iter().map(|&v| (v - m).exp()).sum();
-            let mut cands: Vec<(f32, usize)> = row
-                .iter()
-                .enumerate()
-                .map(|(c, &v)| (v, start + c))
-                .collect();
-            cands.sort_by(|a, b| {
-                if beats(*a, *b) {
-                    std::cmp::Ordering::Less
-                } else if beats(*b, *a) {
-                    std::cmp::Ordering::Greater
-                } else {
-                    std::cmp::Ordering::Equal
-                }
-            });
-            cands.truncate(k);
-            cands.resize(k, (f32::NEG_INFINITY, 0));
             max.push(m);
             sum.push(s);
-            topk.push(cands);
+            topk.push(top_k(row, start, k));
         }
         Ok(DecodeSState { max, sum, topk, k })
     }
@@ -979,6 +1013,170 @@ mod tests {
                 .collect();
             assert_eq!(tokens, expected, "p={p}");
         }
+    }
+
+    /// The top-`k` the decode S pass used to build: the whole row sorted
+    /// by [`beats`], truncated, then padded with `(−∞, 0)`.
+    fn full_sort_topk(row: &[f32], start: usize, k: usize) -> Vec<(f32, usize)> {
+        let mut cands: Vec<(f32, usize)> = row
+            .iter()
+            .enumerate()
+            .map(|(c, &v)| (v, start + c))
+            .collect();
+        cands.sort_by(|a, b| {
+            if beats(*a, *b) {
+                std::cmp::Ordering::Less
+            } else if beats(*b, *a) {
+                std::cmp::Ordering::Greater
+            } else {
+                std::cmp::Ordering::Equal
+            }
+        });
+        cands.truncate(k);
+        cands.resize(k, (f32::NEG_INFINITY, 0));
+        cands
+    }
+
+    fn bits(cands: &[(f32, usize)]) -> Vec<(u32, usize)> {
+        cands.iter().map(|&(v, id)| (v.to_bits(), id)).collect()
+    }
+
+    #[test]
+    fn streaming_topk_equals_the_full_sort() {
+        let mut rng = seeded_rng(94);
+        for trial in 0..200 {
+            let width = 1 + trial % 37;
+            // Coarse values repeat often; every fifth entry is −∞.
+            let row: Vec<f32> = normal(&mut rng, 1, width, 2.0)
+                .data()
+                .iter()
+                .enumerate()
+                .map(|(c, &v)| {
+                    if (c + trial) % 5 == 0 {
+                        f32::NEG_INFINITY
+                    } else {
+                        (v * 2.0).round() * 0.5
+                    }
+                })
+                .collect();
+            let start = 1000 * trial;
+            for k in [1, 2, 4, width, width + 3] {
+                assert_eq!(
+                    bits(&top_k(&row, start, k)),
+                    bits(&full_sort_topk(&row, start, k)),
+                    "trial {trial} width {width} k {k}: {row:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn streaming_topk_breaks_ties_to_the_lowest_id_and_pads() {
+        let row = [1.0, 3.0, f32::NEG_INFINITY, 3.0, 1.0, 3.0];
+        assert_eq!(top_k(&row, 10, 1), vec![(3.0, 11)]);
+        assert_eq!(
+            top_k(&row, 10, 4),
+            vec![(3.0, 11), (3.0, 13), (3.0, 15), (1.0, 10)]
+        );
+        // k past the shard width: the −∞ entry keeps its id, then padding.
+        assert_eq!(
+            bits(&top_k(&row, 10, 8)),
+            bits(&[
+                (3.0, 11),
+                (3.0, 13),
+                (3.0, 15),
+                (1.0, 10),
+                (1.0, 14),
+                (f32::NEG_INFINITY, 12),
+                (f32::NEG_INFINITY, 0),
+                (f32::NEG_INFINITY, 0),
+            ])
+        );
+    }
+
+    #[test]
+    fn nan_logits_never_enter_the_topk() {
+        // argmax_rows never picks a NaN (its `>` is false against one), so
+        // the decode top-k skips NaN entries: it is the full sort of the
+        // row with the NaNs removed, even when that leaves padding.
+        let row = [-1.0, f32::NAN, 2.0, f32::NAN, 2.0, f32::NAN];
+        let clean: Vec<f32> = row.iter().copied().filter(|v| !v.is_nan()).collect();
+        let clean_ids = [0, 2, 4];
+        for k in [1, 2, 3, 5] {
+            let got = top_k(&row, 0, k);
+            assert!(got.iter().all(|c| !c.0.is_nan()), "k {k}: {got:?}");
+            let want: Vec<(f32, usize)> = full_sort_topk(&clean, 0, k)
+                .into_iter()
+                .map(|(v, c)| {
+                    if v == f32::NEG_INFINITY {
+                        (v, c)
+                    } else {
+                        (v, clean_ids[c])
+                    }
+                })
+                .collect();
+            assert_eq!(bits(&got), bits(&want), "k {k}");
+        }
+        let argmax = vp_tensor::ops::argmax_rows(&Tensor::from_vec(1, 6, row.to_vec()).unwrap());
+        assert_eq!(argmax, vec![top_k(&row, 0, 1)[0].1]);
+        // An all-NaN shard row offers no candidate: only padding.
+        let nan_row = [f32::NAN; 3];
+        assert_eq!(
+            bits(&top_k(&nan_row, 0, 2)),
+            bits(&[(f32::NEG_INFINITY, 0); 2])
+        );
+    }
+
+    #[test]
+    fn decode_topk_matches_the_full_sort_of_the_logits() {
+        let (n, h, vocab, p) = (4, 8, 45, 2);
+        let mut rng = seeded_rng(95);
+        let full_w = normal(&mut rng, vocab, h, 0.7);
+        let x = normal(&mut rng, n, h, 1.0);
+        let part = VocabPartition::new(vocab, p);
+        for rank in 0..p {
+            let shard = OutputShard::from_full(&full_w, part, rank).unwrap();
+            let logits = x.matmul_nt(shard.weight().value()).unwrap();
+            for k in [1, 3, 40] {
+                let state = shard.s_pass_decode(&x, k).unwrap();
+                for r in 0..n {
+                    assert_eq!(
+                        bits(&state.topk[r]),
+                        bits(&full_sort_topk(logits.row(r), shard.shard_start(), k)),
+                        "rank {rank} k {k} row {r}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stepped_shard_decodes_like_a_fresh_one() {
+        use vp_tensor::optim::{Adam, Optimizer};
+        let (h, vocab) = (8, 40);
+        let mut rng = seeded_rng(96);
+        let full_w = normal(&mut rng, vocab, h, 0.7);
+        let x = normal(&mut rng, 3, h, 1.0);
+        let part = VocabPartition::new(vocab, 2);
+        let mut shard = OutputShard::from_full(&full_w, part, 1).unwrap();
+        // Build the decode pack, then step the weight under it.
+        let before = shard.s_pass_decode(&x, 4).unwrap().payload();
+        let grad = normal(&mut rng, shard.weight().value().rows(), h, 1.0);
+        shard.weight_mut().accumulate(&grad).unwrap();
+        Adam::new(0.5).step(shard.weight_mut()).unwrap();
+        let after = shard.s_pass_decode(&x, 4).unwrap().payload();
+        let fresh = OutputShard::new(shard.weight().value().clone(), part, 1)
+            .unwrap()
+            .s_pass_decode(&x, 4)
+            .unwrap()
+            .payload();
+        let to_bits = |p: &[f32]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(to_bits(&after), to_bits(&fresh));
+        assert_ne!(
+            to_bits(&after),
+            to_bits(&before),
+            "the step moved the logits"
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::data::DataSource;
 use crate::model::{FullModel, TinyConfig};
 use crate::reference::{backward_blocks, forward_blocks};
 use vp_model::block::TransformerBlock;
-use vp_tensor::io::{read_tensor, read_u32, write_tensor, write_u32};
+use vp_tensor::io::{read_param, read_u32, write_param, write_u32};
 use vp_tensor::nn::{softmax_cross_entropy, Embedding};
 use vp_tensor::optim::{Adam, Optimizer, Param};
 use vp_tensor::{Result, TensorError};
@@ -150,10 +150,7 @@ impl ReferenceTrainer {
         let params = self.params_mut();
         write_u32(&mut buf, params.len() as u32);
         for p in params {
-            write_tensor(&mut buf, p.value());
-            let (m, v) = p.moments();
-            write_tensor(&mut buf, m);
-            write_tensor(&mut buf, v);
+            write_param(&mut buf, p);
         }
         buf
     }
@@ -193,13 +190,11 @@ impl ReferenceTrainer {
                 return Err(bad("parameter count mismatch"));
             }
             for p in params {
-                let value = read_tensor(&mut input)?;
-                let m = read_tensor(&mut input)?;
-                let v = read_tensor(&mut input)?;
-                if value.shape() != p.value().shape() {
+                let loaded = read_param(&mut input)?;
+                if loaded.value().shape() != p.value().shape() {
                     return Err(bad("parameter shape mismatch"));
                 }
-                *p = Param::from_state(value, m, v)?;
+                *p = loaded;
             }
         }
         Ok(trainer)

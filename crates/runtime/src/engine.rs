@@ -594,16 +594,13 @@ impl Device {
     /// the deterministic `params_mut` order — one shard of a distributed
     /// checkpoint.
     fn save_state(&mut self, adam_timestep: i32) -> Vec<u8> {
-        use vp_tensor::io::{write_tensor, write_u32};
+        use vp_tensor::io::{write_param, write_u32};
         let mut buf = Vec::new();
         write_u32(&mut buf, adam_timestep as u32);
         let params = self.params_mut();
         write_u32(&mut buf, params.len() as u32);
         for p in params {
-            write_tensor(&mut buf, p.value());
-            let (m, v) = p.moments();
-            write_tensor(&mut buf, m);
-            write_tensor(&mut buf, v);
+            write_param(&mut buf, p);
         }
         buf
     }
@@ -611,7 +608,7 @@ impl Device {
     /// Restores this device's parameter state from a shard produced by
     /// [`Self::save_state`]. Returns the Adam timestep to resume from.
     fn load_state(&mut self, blob: &[u8]) -> Result<i32> {
-        use vp_tensor::io::{read_tensor, read_u32};
+        use vp_tensor::io::{read_param, read_u32};
         let mut input = blob;
         let timestep = read_u32(&mut input)? as i32;
         let n = read_u32(&mut input)? as usize;
@@ -623,15 +620,13 @@ impl Device {
             )));
         }
         for p in params {
-            let value = read_tensor(&mut input)?;
-            let m = read_tensor(&mut input)?;
-            let v = read_tensor(&mut input)?;
-            if value.shape() != p.value().shape() {
+            let loaded = read_param(&mut input)?;
+            if loaded.value().shape() != p.value().shape() {
                 return Err(TensorError::InvalidArgument(
                     "checkpoint shard shape mismatch".into(),
                 ));
             }
-            *p = Param::from_state(value, m, v)?;
+            *p = loaded;
         }
         Ok(timestep)
     }

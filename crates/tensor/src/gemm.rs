@@ -16,15 +16,25 @@
 //!   copied `A` `n/NC` times more than necessary. Both pack buffers draw
 //!   from the buffer arena ([`crate::alloc`]), so steady-state GEMMs
 //!   allocate nothing.
+//! * **Packed once.** A right operand that outlives many products — the
+//!   output layer's vocabulary shard, read by every decode step — can be
+//!   packed ahead of time by [`pack_nt`] into the very tile layout `pack_b`
+//!   produces, every `k` panel over all `n` columns (`Rhs::Packed`). The
+//!   driver then reads each panel in place instead of re-packing it, so a
+//!   one-row decode product is a single streaming read of the operand.
+//!   Because the microkernel sees the same tile bytes either way, the
+//!   packed and per-call paths are the same kernel and agree bitwise.
 //! * **Microkernel.** [`microkernel`] accumulates an arch-tuned `MR × NR`
 //!   register tile over one `k` panel: the tile is loaded from the output,
 //!   every `p` term is added directly to its running element total, and the
 //!   tile is stored once per panel — `k/KC` output round-trips instead of
-//!   `k`. The tile shape is chosen per target at compile time (the
-//!   workspace builds with `target-cpu=native`): 8×32 with AVX-512 (16
-//!   accumulator registers of 16 lanes), 6×16 with AVX2 (12 of 8), and the
-//!   portable 4×8 otherwise. The `j` lanes are fully independent, so the
-//!   compiler vectorizes them without reassociating anything.
+//!   `k`. Only the tile's live rows are accumulated, so a one-row GEMV
+//!   does one row of work rather than `MR`. The tile shape is chosen per
+//!   target at compile time (the workspace builds with
+//!   `target-cpu=native`): 8×32 with AVX-512 (16 accumulator registers of
+//!   16 lanes), 6×16 with AVX2 (12 of 8), and the portable 4×8 otherwise.
+//!   The `j` lanes are fully independent, so the compiler vectorizes them
+//!   without reassociating anything.
 //!
 //! # Determinism contract
 //!
@@ -117,11 +127,22 @@ pub(crate) enum Layout {
     Tn,
 }
 
+/// The right operand of a [`Gemm`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Rhs<'a> {
+    /// Row-major in the problem's [`Layout`]; [`gemm_chunk`] packs every
+    /// panel it visits into arena scratch.
+    Plain(&'a [f32]),
+    /// The whole operand already in packed tile layout ([`pack_nt`]);
+    /// [`gemm_chunk`] reads its panels in place.
+    Packed(&'a [f32]),
+}
+
 /// One GEMM problem: `out[i, j] += Σₚ A'[i, p] · B'[p, j]` where `A'`/`B'`
 /// are the layout-adjusted views of `a` and `b`.
 pub(crate) struct Gemm<'a> {
     pub a: &'a [f32],
-    pub b: &'a [f32],
+    pub b: Rhs<'a>,
     /// Shared dimension.
     pub k: usize,
     /// Output columns of the *full* problem (the stride of `b`'s rows for
@@ -163,11 +184,15 @@ impl OutRows for crate::pool::ColPanelMut<'_> {
     }
 }
 
-/// Accumulates one `MR × NR` register tile over a packed `k` panel.
+/// Accumulates the first `mr` rows of one `MR × NR` register tile over a
+/// packed `k` panel.
 ///
 /// `apanel` is `pc × MR` (`p`-major), `btile` is `pc × NR` (`p`-major).
 /// Every `c[i][j]` element receives its `pc` terms one at a time in
-/// ascending `p` order — the bitwise-identity invariant lives here.
+/// ascending `p` order — the bitwise-identity invariant lives here. Rows
+/// at or past `mr` are zero padding whose results the caller discards, so
+/// they are skipped: a ragged tile (a decode GEMV has `mr = 1`) costs its
+/// live rows only.
 ///
 /// The row loop is outermost on purpose: each row's `NR`-wide accumulator
 /// is a local that stays live across the whole `p` loop, so the compiler
@@ -175,11 +200,11 @@ impl OutRows for crate::pool::ColPanelMut<'_> {
 /// axis (unit-stride `b` loads, broadcast `a`). With the `p` loop outside,
 /// LLVM instead vectorized across the *row* axis and emitted
 /// gather/scatter for every column of `c` — a 5× slowdown. Looping rows
-/// first re-reads `btile` `MR` times, but the tile lives in L1 by
+/// first re-reads `btile` `mr` times, but the tile lives in L1 by
 /// construction.
 #[inline]
-fn microkernel(apanel: &[f32], btile: &[f32], c: &mut [[f32; NR]; MR]) {
-    for (ir, crow) in c.iter_mut().enumerate() {
+fn microkernel(apanel: &[f32], btile: &[f32], c: &mut [[f32; NR]; MR], mr: usize) {
+    for (ir, crow) in c.iter_mut().enumerate().take(mr) {
         let mut acc = *crow;
         for (a, b) in apanel.chunks_exact(MR).zip(btile.chunks_exact(NR)) {
             // Fixed-size views: no bounds checks, full unroll of the width.
@@ -194,11 +219,19 @@ fn microkernel(apanel: &[f32], btile: &[f32], c: &mut [[f32; NR]; MR]) {
     }
 }
 
-/// Packs the `pc × jc` panel of the layout-adjusted right operand starting
-/// at global column `j_abs`, `k` range `[p0, p0+pc)`, into `NR`-wide column
-/// tiles. Ragged tile columns are zero-padded (their microkernel lanes are
-/// discarded on write-back).
-fn pack_b(g: &Gemm<'_>, p0: usize, pc: usize, j_abs: usize, jc: usize, panel: &mut [f32]) {
+/// Packs the `pc × jc` panel of the layout-adjusted right operand `b`
+/// starting at global column `j_abs`, `k` range `[p0, p0+pc)`, into
+/// `NR`-wide column tiles. Ragged tile columns are zero-padded (their
+/// microkernel lanes are discarded on write-back).
+fn pack_b(
+    g: &Gemm<'_>,
+    b: &[f32],
+    p0: usize,
+    pc: usize,
+    j_abs: usize,
+    jc: usize,
+    panel: &mut [f32],
+) {
     let jtiles = jc.div_ceil(NR);
     for jt in 0..jtiles {
         let jbase = j_abs + jt * NR;
@@ -208,7 +241,7 @@ fn pack_b(g: &Gemm<'_>, p0: usize, pc: usize, j_abs: usize, jc: usize, panel: &m
             Layout::Nn | Layout::Tn => {
                 // b is [k, n]: rows of the panel are contiguous slices.
                 for (p, dst) in tile.chunks_exact_mut(NR).enumerate() {
-                    let src = &g.b[(p0 + p) * g.n + jbase..(p0 + p) * g.n + jbase + w];
+                    let src = &b[(p0 + p) * g.n + jbase..(p0 + p) * g.n + jbase + w];
                     dst[..w].copy_from_slice(src);
                     dst[w..].fill(0.0);
                 }
@@ -218,7 +251,7 @@ fn pack_b(g: &Gemm<'_>, p0: usize, pc: usize, j_abs: usize, jc: usize, panel: &m
                 // contiguously, scattering into the p-major tile — this is
                 // the transposing copy that de-strides the nt layout.
                 for jr in 0..w {
-                    let src = &g.b[(jbase + jr) * g.k + p0..(jbase + jr) * g.k + p0 + pc];
+                    let src = &b[(jbase + jr) * g.k + p0..(jbase + jr) * g.k + p0 + pc];
                     for (p, &v) in src.iter().enumerate() {
                         tile[p * NR + jr] = v;
                     }
@@ -231,6 +264,46 @@ fn pack_b(g: &Gemm<'_>, p0: usize, pc: usize, j_abs: usize, jc: usize, panel: &m
             }
         }
     }
+}
+
+/// Packs the whole `nt` right operand `b: [n, k]` (used as `Bᵀ`) once, in
+/// the tile layout [`gemm_chunk`] would otherwise build per call: for each
+/// `KC` panel in ascending `p`, all `⌈n/NR⌉` column tiles of `pc × NR`.
+/// Panel `p0` thus starts at `p0 · ⌈n/NR⌉ · NR` and tile `t` of it
+/// `t · pc · NR` further on ([`packed_tiles`]).
+pub(crate) fn pack_nt(b: &[f32], n: usize, k: usize) -> Vec<f32> {
+    let ntiles = n.div_ceil(NR);
+    let mut packed = vec![0.0; ntiles * NR * k];
+    let g = Gemm {
+        a: &[],
+        b: Rhs::Plain(b),
+        k,
+        n,
+        m: 0,
+        layout: Layout::Nt,
+    };
+    for p0 in (0..k).step_by(KC) {
+        let pc = KC.min(k - p0);
+        let panel = &mut packed[p0 * ntiles * NR..][..ntiles * pc * NR];
+        pack_b(&g, b, p0, pc, 0, n, panel);
+    }
+    packed
+}
+
+/// The `jtiles` packed tiles of panel `[p0, p0+pc)` starting at global
+/// column `j_abs` (a multiple of `NR`) of an operand built by [`pack_nt`]
+/// with `n` columns — exactly the buffer `pack_b` would have filled.
+fn packed_tiles(
+    packed: &[f32],
+    n: usize,
+    p0: usize,
+    pc: usize,
+    j_abs: usize,
+    jtiles: usize,
+) -> &[f32] {
+    debug_assert_eq!(j_abs % NR, 0, "column panels start on a tile");
+    let base = p0 * n.div_ceil(NR) * NR + (j_abs / NR) * pc * NR;
+    &packed[base..base + jtiles * pc * NR]
 }
 
 /// Packs the `mc`-row block of the layout-adjusted left operand starting at
@@ -294,16 +367,26 @@ pub(crate) fn gemm_chunk<O: OutRows>(
         return;
     }
     // Pack scratch comes from the arena, recycled across calls (and across
-    // threads' independent chunks — each task takes its own buffers).
-    let bcap = KC * NC.min(jcols.next_multiple_of(NR));
-    let mut bpanel = alloc::take_zeroed(bcap);
+    // threads' independent chunks — each task takes its own buffers). A
+    // pre-packed right operand needs no B scratch at all.
+    let mut bpanel = match g.b {
+        Rhs::Plain(_) => alloc::take_zeroed(KC * NC.min(jcols.next_multiple_of(NR))),
+        Rhs::Packed(_) => Vec::new(),
+    };
     let mut ablock = alloc::take_zeroed(KC * MC.min(rows).next_multiple_of(MR));
     for j0 in (0..jcols).step_by(NC) {
         let jc = NC.min(jcols - j0);
         let jtiles = jc.div_ceil(NR);
         for p0 in (0..g.k).step_by(KC) {
             let pc = KC.min(g.k - p0);
-            pack_b(g, p0, pc, j_off + j0, jc, &mut bpanel[..jtiles * pc * NR]);
+            let btiles: &[f32] = match g.b {
+                Rhs::Plain(b) => {
+                    let panel = &mut bpanel[..jtiles * pc * NR];
+                    pack_b(g, b, p0, pc, j_off + j0, jc, panel);
+                    panel
+                }
+                Rhs::Packed(packed) => packed_tiles(packed, g.n, p0, pc, j_off + j0, jtiles),
+            };
             for ib in (0..rows).step_by(MC) {
                 let mc = MC.min(rows - ib);
                 let mtiles = mc.div_ceil(MR);
@@ -328,7 +411,7 @@ pub(crate) fn gemm_chunk<O: OutRows>(
                             let src = &out.row_mut(r0 + ir)[jbase..jbase + w];
                             crow[..w].copy_from_slice(src);
                         }
-                        microkernel(apanel, &bpanel[jt * pc * NR..][..pc * NR], &mut c);
+                        microkernel(apanel, &btiles[jt * pc * NR..][..pc * NR], &mut c, mr);
                         for (ir, crow) in c.iter().enumerate().take(mr) {
                             let dst = &mut out.row_mut(r0 + ir)[jbase..jbase + w];
                             dst.copy_from_slice(&crow[..w]);

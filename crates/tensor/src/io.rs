@@ -1,6 +1,7 @@
 //! Minimal binary tensor serialization (shape + little-endian `f32`s),
 //! used by checkpointing.
 
+use crate::optim::Param;
 use crate::{Result, Tensor, TensorError};
 
 /// Appends a tensor to `buf`: `rows u32 | cols u32 | data f32-LE…`.
@@ -10,6 +11,42 @@ pub fn write_tensor(buf: &mut Vec<u8>, t: &Tensor) {
     for &v in t.data() {
         buf.extend_from_slice(&v.to_le_bytes());
     }
+}
+
+/// Appends a parameter's checkpoint state: its value, then Adam's `m` and
+/// `v`. A parameter Adam never stepped holds no moments; it writes zero
+/// moments of the value's shape, so the format does not depend on it.
+pub fn write_param(buf: &mut Vec<u8>, p: &Param) {
+    write_tensor(buf, p.value());
+    match p.moments() {
+        Some((m, v)) => {
+            write_tensor(buf, m);
+            write_tensor(buf, v);
+        }
+        None => {
+            let (rows, cols) = p.value().shape();
+            for _ in 0..2 {
+                write_u32(buf, rows as u32);
+                write_u32(buf, cols as u32);
+                // `0.0f32` is four zero bytes in little-endian order.
+                buf.resize(buf.len() + 4 * rows * cols, 0);
+            }
+        }
+    }
+}
+
+/// Reads a parameter written by [`write_param`] (zeroed gradient),
+/// advancing `input`.
+///
+/// # Errors
+///
+/// Returns [`TensorError::InvalidArgument`] on truncation, or
+/// [`TensorError::ShapeMismatch`] if the moments do not match the value.
+pub fn read_param(input: &mut &[u8]) -> Result<Param> {
+    let value = read_tensor(input)?;
+    let m = read_tensor(input)?;
+    let v = read_tensor(input)?;
+    Param::from_state(value, m, v)
 }
 
 /// Reads a tensor written by [`write_tensor`], advancing `input`.
@@ -83,6 +120,48 @@ mod tests {
         let mut s = buf.as_slice();
         assert_eq!(read_tensor(&mut s).unwrap(), a);
         assert_eq!(read_tensor(&mut s).unwrap(), b);
+    }
+
+    /// A parameter's full checkpoint state: value, then `m` and `v` (zero
+    /// when Adam never allocated them).
+    fn param_state(p: &Param) -> (Tensor, Tensor, Tensor) {
+        let (r, c) = p.value().shape();
+        let (m, v) = match p.moments() {
+            Some((m, v)) => (m.clone(), v.clone()),
+            None => (Tensor::zeros(r, c), Tensor::zeros(r, c)),
+        };
+        (p.value().clone(), m, v)
+    }
+
+    #[test]
+    fn never_stepped_param_round_trips_with_zero_moments() {
+        let p = Param::new(normal(&mut seeded_rng(5), 3, 4, 1.0));
+        assert!(p.moments().is_none());
+        let mut buf = Vec::new();
+        write_param(&mut buf, &p);
+        // Byte for byte what eagerly allocated zero moments would write.
+        let mut eager = Vec::new();
+        write_tensor(&mut eager, p.value());
+        write_tensor(&mut eager, &Tensor::zeros(3, 4));
+        write_tensor(&mut eager, &Tensor::zeros(3, 4));
+        assert_eq!(buf, eager);
+        let mut s = buf.as_slice();
+        let back = read_param(&mut s).unwrap();
+        assert!(s.is_empty());
+        assert_eq!(param_state(&back), param_state(&p));
+    }
+
+    #[test]
+    fn stepped_param_round_trips_its_moments() {
+        use crate::optim::{Adam, Optimizer};
+        let mut p = Param::new(normal(&mut seeded_rng(6), 2, 3, 1.0));
+        p.accumulate(&normal(&mut seeded_rng(7), 2, 3, 1.0))
+            .unwrap();
+        Adam::new(0.1).step(&mut p).unwrap();
+        let mut buf = Vec::new();
+        write_param(&mut buf, &p);
+        let back = read_param(&mut buf.as_slice()).unwrap();
+        assert_eq!(param_state(&back), param_state(&p));
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!
 //! * [`Tensor`] — a dense row-major 2-D `f32` tensor with shape checking.
 //! * Matrix multiplication in all transpose layouts ([`Tensor::matmul`],
-//!   [`Tensor::matmul_nt`], [`Tensor::matmul_tn`]).
+//!   [`Tensor::matmul_nt`], [`Tensor::matmul_tn`]), plus `nt` against a
+//!   weight packed once ([`Tensor::matmul_nt_packed`]).
 //! * Reductions and the safe/online softmax family used by the paper
 //!   ([`ops`]).
 //! * Manual-backprop neural-network layers ([`nn`]): linear, layer-norm,
@@ -55,7 +56,7 @@ mod tensor;
 
 pub use error::TensorError;
 pub use pool::{num_threads, set_num_threads};
-pub use tensor::Tensor;
+pub use tensor::{PackedNt, Tensor};
 
 /// Convenience result alias used across the crate.
 pub type Result<T> = std::result::Result<T, TensorError>;

@@ -13,20 +13,21 @@ use crate::{Result, Tensor, TensorError};
 pub struct Param {
     value: Tensor,
     grad: Tensor,
-    m: Tensor,
-    v: Tensor,
+    /// Adam's `(m, v)`, allocated by the first [`Adam`] step: until then
+    /// both are zero and take no memory, so a parameter that is never
+    /// stepped (a serving shard) holds only its value and gradient.
+    moments: Option<(Tensor, Tensor)>,
 }
 
 impl Param {
     /// Wraps an initialized value tensor into a parameter with zeroed
-    /// gradient and moments.
+    /// gradient and (not yet allocated) zero moments.
     pub fn new(value: Tensor) -> Self {
         let (r, c) = value.shape();
         Param {
             value,
             grad: Tensor::zeros(r, c),
-            m: Tensor::zeros(r, c),
-            v: Tensor::zeros(r, c),
+            moments: None,
         }
     }
 
@@ -65,9 +66,10 @@ impl Param {
         self.grad.fill_zero();
     }
 
-    /// The Adam moment estimates `(m, v)` (for checkpointing).
-    pub fn moments(&self) -> (&Tensor, &Tensor) {
-        (&self.m, &self.v)
+    /// The Adam moment estimates `(m, v)` (for checkpointing), or `None`
+    /// before the first Adam step, while both are still all zero.
+    pub fn moments(&self) -> Option<(&Tensor, &Tensor)> {
+        self.moments.as_ref().map(|(m, v)| (m, v))
     }
 
     /// Reconstructs a parameter from checkpointed state (zeroed gradient).
@@ -88,8 +90,7 @@ impl Param {
         Ok(Param {
             value,
             grad: Tensor::zeros(r, c),
-            m,
-            v,
+            moments: Some((m, v)),
         })
     }
 
@@ -196,11 +197,16 @@ impl Adam {
 
 impl Optimizer for Adam {
     fn step(&mut self, param: &mut Param) -> Result<()> {
-        if param.value.shape() != param.grad.shape() {
+        let Param {
+            value,
+            grad,
+            moments,
+        } = param;
+        if value.shape() != grad.shape() {
             return Err(TensorError::ShapeMismatch {
                 op: "adam_step",
-                lhs: param.value.shape(),
-                rhs: param.grad.shape(),
+                lhs: value.shape(),
+                rhs: grad.shape(),
             });
         }
         let (b1, b2) = (self.beta1, self.beta2);
@@ -208,14 +214,16 @@ impl Optimizer for Adam {
         let bc2 = 1.0 - b2.powi(self.t);
         let lr = self.lr;
         let eps = self.eps;
-        let grads = param.grad.data().to_vec();
-        for (((w, g), m), v) in param
-            .value
+        let (m, v) = moments.get_or_insert_with(|| {
+            let (r, c) = value.shape();
+            (Tensor::zeros(r, c), Tensor::zeros(r, c))
+        });
+        for (((w, g), m), v) in value
             .data_mut()
             .iter_mut()
-            .zip(&grads)
-            .zip(param.m.data_mut())
-            .zip(param.v.data_mut())
+            .zip(grad.data())
+            .zip(m.data_mut())
+            .zip(v.data_mut())
         {
             *m = b1 * *m + (1.0 - b1) * g;
             *v = b2 * *v + (1.0 - b2) * g * g;
@@ -223,7 +231,7 @@ impl Optimizer for Adam {
             let v_hat = *v / bc2;
             *w -= lr * m_hat / (v_hat.sqrt() + eps);
         }
-        param.zero_grad();
+        grad.fill_zero();
         Ok(())
     }
 
@@ -282,6 +290,19 @@ mod tests {
         p.accumulate(&Tensor::ones(1, 2)).unwrap();
         assert_eq!(p.grad().data(), &[2.0, 2.0]);
         assert!(p.accumulate(&Tensor::ones(2, 2)).is_err());
+    }
+
+    #[test]
+    fn adam_allocates_moments_on_its_first_step() {
+        let mut p = Param::new(Tensor::zeros(2, 3));
+        assert!(p.moments().is_none());
+        Sgd::new(0.1).step(&mut p).unwrap();
+        assert!(p.moments().is_none(), "only Adam keeps moments");
+        p.accumulate(&Tensor::ones(2, 3)).unwrap();
+        Adam::new(0.1).step(&mut p).unwrap();
+        let (m, v) = p.moments().expect("allocated by the Adam step");
+        assert_eq!((m.shape(), v.shape()), ((2, 3), (2, 3)));
+        assert!(m.data().iter().all(|&x| x != 0.0));
     }
 
     #[test]

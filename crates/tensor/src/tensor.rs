@@ -16,7 +16,7 @@ use crate::{alloc, gemm, pool, Result, TensorError};
 /// task running the serial kernel.
 fn run_gemm(
     a: &Tensor,
-    b: &Tensor,
+    b: gemm::Rhs<'_>,
     m: usize,
     k: usize,
     n: usize,
@@ -26,7 +26,7 @@ fn run_gemm(
     let mut out = Tensor::zeros(m, n);
     let g = gemm::Gemm {
         a: &a.data,
-        b: &b.data,
+        b,
         k,
         n,
         m,
@@ -353,7 +353,15 @@ impl Tensor {
             });
         }
         let (m, k, n) = (self.rows, self.cols, rhs.cols);
-        Ok(run_gemm(self, rhs, m, k, n, gemm::Layout::Nn, None))
+        Ok(run_gemm(
+            self,
+            gemm::Rhs::Plain(&rhs.data),
+            m,
+            k,
+            n,
+            gemm::Layout::Nn,
+            None,
+        ))
     }
 
     /// Fused `self · rhs + bias` where `bias` is a `1 × n` row broadcast
@@ -386,7 +394,7 @@ impl Tensor {
         let (m, k, n) = (self.rows, self.cols, rhs.cols);
         Ok(run_gemm(
             self,
-            rhs,
+            gemm::Rhs::Plain(&rhs.data),
             m,
             k,
             n,
@@ -412,7 +420,55 @@ impl Tensor {
             });
         }
         let (m, k, n) = (self.rows, self.cols, rhs.rows);
-        Ok(run_gemm(self, rhs, m, k, n, gemm::Layout::Nt, None))
+        Ok(run_gemm(
+            self,
+            gemm::Rhs::Plain(&rhs.data),
+            m,
+            k,
+            n,
+            gemm::Layout::Nt,
+            None,
+        ))
+    }
+
+    /// Packs `self` (`[n, k]`) once as the right operand of
+    /// [`Tensor::matmul_nt_packed`], for a weight that many products read
+    /// unchanged (the decode S pass's vocabulary shard). The pack is a
+    /// snapshot: it does not follow later changes to `self`.
+    pub fn pack_nt(&self) -> PackedNt {
+        PackedNt {
+            rows: self.rows,
+            cols: self.cols,
+            data: gemm::pack_nt(&self.data, self.rows, self.cols),
+        }
+    }
+
+    /// [`Tensor::matmul_nt`] against a right operand packed by
+    /// [`Tensor::pack_nt`]: `self · rhsᵀ` without re-packing `rhs` on every
+    /// call. Same kernel, same tiles — bitwise equal to `matmul_nt` against
+    /// the tensor `rhs` was packed from, for every shape and thread count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if the shared dimension differs.
+    pub fn matmul_nt_packed(&self, rhs: &PackedNt) -> Result<Tensor> {
+        if self.cols != rhs.cols {
+            return Err(TensorError::ShapeMismatch {
+                op: "matmul_nt_packed",
+                lhs: self.shape(),
+                rhs: rhs.shape(),
+            });
+        }
+        let (m, k, n) = (self.rows, self.cols, rhs.rows);
+        Ok(run_gemm(
+            self,
+            gemm::Rhs::Packed(&rhs.data),
+            m,
+            k,
+            n,
+            gemm::Layout::Nt,
+            None,
+        ))
     }
 
     /// Matrix product `selfᵀ · rhs` where `self` is `[k, m]` and `rhs` is `[k, n]`.
@@ -432,7 +488,15 @@ impl Tensor {
             });
         }
         let (k, m, n) = (self.rows, self.cols, rhs.cols);
-        Ok(run_gemm(self, rhs, m, k, n, gemm::Layout::Tn, None))
+        Ok(run_gemm(
+            self,
+            gemm::Rhs::Plain(&rhs.data),
+            m,
+            k,
+            n,
+            gemm::Layout::Tn,
+            None,
+        ))
     }
 
     /// Elementwise sum, returning a new tensor.
@@ -589,6 +653,25 @@ impl Tensor {
             cols: self.cols,
             data,
         })
+    }
+}
+
+/// An `[n, k]` tensor packed once as the right operand of
+/// [`Tensor::matmul_nt_packed`] (built by [`Tensor::pack_nt`]).
+///
+/// It holds the GEMM's `NR`-wide column tiles for every `k` panel, padded
+/// to whole tiles: about the size of the source tensor.
+#[derive(Debug, Clone)]
+pub struct PackedNt {
+    rows: usize,
+    cols: usize,
+    data: Vec<f32>,
+}
+
+impl PackedNt {
+    /// Shape `(n, k)` of the tensor this was packed from.
+    pub fn shape(&self) -> (usize, usize) {
+        (self.rows, self.cols)
     }
 }
 

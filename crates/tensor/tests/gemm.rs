@@ -5,10 +5,13 @@
 //! order from `0.0` — exactly the naive `i-k-j` loop. These tests pin that
 //! down **bitwise** for every layout on edge shapes: empty dimensions,
 //! 1×1, sizes straddling the 64-wide blocking and the 4×8 register tile,
-//! and NaN/∞ propagation through zero-padded pack panels.
+//! and NaN/∞ propagation through zero-padded pack panels. A right operand
+//! packed once (`Tensor::pack_nt`) must give the same bits as the per-call
+//! pack.
 
+use std::sync::Mutex;
 use vp_tensor::init::{normal, seeded_rng};
-use vp_tensor::Tensor;
+use vp_tensor::{pool, set_num_threads, Tensor};
 
 /// `(m, k, n)` shapes chosen to hit every tiling edge: zero dims, single
 /// elements, sub-tile sizes, exact block multiples, and off-by-one block
@@ -228,4 +231,71 @@ fn layouts_agree_with_explicit_transpose_bitwise() {
         &at.transpose().matmul(&b).unwrap(),
         "tn vs explicit transpose",
     );
+}
+
+#[test]
+fn packed_nt_is_bitwise_matmul_nt() {
+    // Serializes the process-global thread count within this test binary
+    // (the other tests here are thread-count independent by contract).
+    static LOCK: Mutex<()> = Mutex::new(());
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // m straddles every register-tile height (MR is 4, 6 or 8 by target);
+    // n is neither a multiple of NR (8, 16 or 32) nor of NC = 512, and 523
+    // spans two NC panels; k = 200 spans two KC = 128 panels.
+    let ms = [1, 3, 4, 5, 6, 7, 8, 9, 16];
+    let ns = [45, 523];
+    let ks = [64, 128, 200];
+    let threads_before = vp_tensor::num_threads();
+    // Pretend to have cores so two threads really take the panel split.
+    pool::set_assumed_cores(16);
+    let mut rng = seeded_rng(2026);
+    for threads in [1, 2] {
+        set_num_threads(threads);
+        for &n in &ns {
+            for &k in &ks {
+                let bt = normal(&mut rng, n, k, 1.0);
+                let packed = bt.pack_nt();
+                assert_eq!(packed.shape(), (n, k));
+                for &m in &ms {
+                    let a = normal(&mut rng, m, k, 1.0);
+                    let what = format!("{m}x{k}x{n}, {threads} threads");
+                    let got = a.matmul_nt_packed(&packed).unwrap();
+                    assert_bits_eq(&got, &a.matmul_nt(&bt).unwrap(), &what);
+                    assert_bits_eq(&got, &naive_nt(&a, &bt), &what);
+                }
+            }
+        }
+    }
+    set_num_threads(threads_before);
+    pool::set_assumed_cores(0);
+}
+
+#[test]
+fn packed_nt_checks_the_shared_dimension_and_propagates_poison() {
+    let mut rng = seeded_rng(12);
+    let mut bt = normal(&mut rng, 21, 66, 1.0);
+    *bt.at_mut(20, 65) = f32::NAN;
+    *bt.at_mut(0, 7) = f32::INFINITY;
+    let packed = bt.pack_nt();
+    assert!(Tensor::zeros(2, 65).matmul_nt_packed(&packed).is_err());
+    let mut a = normal(&mut rng, 13, 66, 1.0);
+    *a.at_mut(5, 7) = 0.0; // 0 · ∞ must stay NaN
+    assert_bits_eq(
+        &a.matmul_nt_packed(&packed).unwrap(),
+        &naive_nt(&a, &bt),
+        "packed nt poison",
+    );
+    // Empty operands pack and multiply like the per-call path.
+    let empty = Tensor::zeros(0, 5).pack_nt();
+    assert_eq!(
+        Tensor::zeros(3, 5)
+            .matmul_nt_packed(&empty)
+            .unwrap()
+            .shape(),
+        (3, 0)
+    );
+    let no_k = Tensor::zeros(4, 0).pack_nt();
+    let out = Tensor::zeros(2, 0).matmul_nt_packed(&no_k).unwrap();
+    assert_eq!(out.shape(), (2, 4));
+    assert!(out.data().iter().all(|&v| v.to_bits() == 0));
 }
