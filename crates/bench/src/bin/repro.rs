@@ -33,12 +33,15 @@
 //! seeded mutants through both the static analyses and the exhaustive
 //! pass-VM model checker, failing on any disagreement — and with `--json`
 //! writes `MODELCHECK.json`. `--out <path>`
-//! redirects the JSON artifact of the selected experiment.
+//! redirects the JSON artifact of the selected experiment. `repro` exits 1
+//! when it cannot write an artifact (after running the remaining
+//! experiments) and 2 on an unknown experiment.
 
 use vp_bench::experiments;
 use vp_bench::kernels as kernel_bench;
 use vp_bench::paper;
 use vp_bench::table;
+use vp_bench::{report_written, write_artifact};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -93,23 +96,11 @@ fn main() {
         ],
         other => vec![other],
     };
+    let mut failed = false;
     for exp in experiments {
-        match exp {
+        let written = match exp {
             "check" => check_schedules(json, out.as_deref()),
             "modelcheck" => modelcheck(json, out.as_deref()),
-            "fig1" | "schedules" => schedules(),
-            "fig2" => fig2(),
-            "fig3" => fig3(),
-            "table3" => table3(),
-            "table3-measured" => table3_measured(),
-            "table4" => table4(),
-            "table5" => table5(microbatches),
-            "table6" => table6(microbatches),
-            "ablation-interlaced" => ablation(microbatches),
-            "ablation-barriers" => ablation_barriers(microbatches),
-            "ablation-zero-bubble" => ablation_zero_bubble(microbatches),
-            "generality" => generality(microbatches),
-            "generality-numeric" => generality_numeric(),
             "kernels" => kernels(quick, json, out.as_deref()),
             "trainbench" => trainbench(quick, json, out.as_deref()),
             "servebench" => servebench(quick, json, out.as_deref()),
@@ -117,12 +108,42 @@ fn main() {
             "trace" => trace(),
             "timeline" => timeline(json, out.as_deref()),
             "csv" => csv(microbatches),
-            "padding" => padding(),
-            "fig17" => fig17(),
             other => {
-                eprintln!("unknown experiment: {other}");
-                std::process::exit(2);
+                print_only(other, microbatches);
+                Ok(())
             }
+        };
+        if let Err(e) = written {
+            eprintln!("{e}");
+            failed = true;
+        }
+    }
+    if failed {
+        std::process::exit(1);
+    }
+}
+
+/// Runs an experiment that only prints (writes no artifact).
+fn print_only(exp: &str, microbatches: usize) {
+    match exp {
+        "fig1" | "schedules" => schedules(),
+        "fig2" => fig2(),
+        "fig3" => fig3(),
+        "table3" => table3(),
+        "table3-measured" => table3_measured(),
+        "table4" => table4(),
+        "table5" => table5(microbatches),
+        "table6" => table6(microbatches),
+        "ablation-interlaced" => ablation(microbatches),
+        "ablation-barriers" => ablation_barriers(microbatches),
+        "ablation-zero-bubble" => ablation_zero_bubble(microbatches),
+        "generality" => generality(microbatches),
+        "generality-numeric" => generality_numeric(),
+        "padding" => padding(),
+        "fig17" => fig17(),
+        other => {
+            eprintln!("unknown experiment: {other}");
+            std::process::exit(2);
         }
     }
 }
@@ -131,36 +152,35 @@ fn heading(title: &str) {
     println!("\n############ {title} ############\n");
 }
 
-fn check_schedules(json: bool, out: Option<&str>) {
+fn check_schedules(json: bool, out: Option<&str>) -> Result<(), String> {
     heading("vp-check — static verification of every schedule generator");
     let cases = vp_bench::check::sweep();
     print!("{}", vp_bench::check::render(&cases));
-    if json {
+    let written = if json {
         let path = out.unwrap_or("CHECK.json");
         let doc = vp_bench::check::to_json(&cases);
-        match std::fs::write(path, &doc) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
-    }
+        write_artifact(path, &doc)
+    } else {
+        Ok(())
+    };
     if cases.iter().any(|c| !c.report.is_clean()) {
         eprintln!("vp-check: diagnostics found — failing");
         std::process::exit(1);
     }
+    written
 }
 
-fn modelcheck(json: bool, out: Option<&str>) {
+fn modelcheck(json: bool, out: Option<&str>) -> Result<(), String> {
     heading("Model check — static analyses vs exhaustive pass-VM execution, differentially");
     let cases = vp_bench::modelcheck::run();
     print!("{}", vp_bench::modelcheck::render(&cases));
-    if json {
+    let written = if json {
         let path = out.unwrap_or("MODELCHECK.json");
         let doc = vp_bench::modelcheck::to_json(&cases);
-        match std::fs::write(path, &doc) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
-    }
+        write_artifact(path, &doc)
+    } else {
+        Ok(())
+    };
     let disagreements = cases
         .iter()
         .filter(|c| c.outcome == vp_bench::modelcheck::Outcome::Disagree)
@@ -173,6 +193,7 @@ fn modelcheck(json: bool, out: Option<&str>) {
         );
         std::process::exit(1);
     }
+    written
 }
 
 fn fig2() {
@@ -390,17 +411,10 @@ fn ablation_zero_bubble(microbatches: usize) {
     );
 }
 
-fn csv(microbatches: usize) {
+fn csv(microbatches: usize) -> Result<(), String> {
     heading("CSV export — Figure 11–14 data series");
     let dir = std::path::Path::new("csv");
-    match experiments::export_csv(dir, microbatches) {
-        Ok(paths) => {
-            for p in paths {
-                println!("wrote {}", p.display());
-            }
-        }
-        Err(e) => eprintln!("csv export failed: {e}"),
-    }
+    report_written("csv", experiments::export_csv(dir, microbatches))
 }
 
 fn generality(microbatches: usize) {
@@ -463,7 +477,7 @@ fn generality_numeric() {
     println!("code); deviations stay within Figure 17's f32 accumulation-order noise.");
 }
 
-fn kernels(quick: bool, json: bool, out: Option<&str>) {
+fn kernels(quick: bool, json: bool, out: Option<&str>) -> Result<(), String> {
     heading("Kernel microbench — serial vs threaded worker pool (vp-tensor::pool)");
     let threads = std::env::var("VP_THREADS")
         .ok()
@@ -523,14 +537,12 @@ fn kernels(quick: bool, json: bool, out: Option<&str>) {
     if json {
         let path = out.unwrap_or("BENCH_kernels.json");
         let doc = kernel_bench::to_json(&sweep);
-        match std::fs::write(path, &doc) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
+        write_artifact(path, &doc)?;
     }
+    Ok(())
 }
 
-fn trainbench(quick: bool, json: bool, out: Option<&str>) {
+fn trainbench(quick: bool, json: bool, out: Option<&str>) -> Result<(), String> {
     heading("Train bench — steady-iteration wall time through the buffer arena (Fig-17 config)");
     let iterations = if quick { 3 } else { 6 };
     let results = vp_bench::trainbench::run(iterations);
@@ -578,14 +590,12 @@ fn trainbench(quick: bool, json: bool, out: Option<&str>) {
     if json {
         let path = out.unwrap_or("BENCH_train.json");
         let doc = vp_bench::trainbench::to_json(iterations, &results);
-        match std::fs::write(path, &doc) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
+        write_artifact(path, &doc)?;
     }
+    Ok(())
 }
 
-fn servebench(quick: bool, json: bool, out: Option<&str>) {
+fn servebench(quick: bool, json: bool, out: Option<&str>) -> Result<(), String> {
     heading("Serve bench — open-loop decoding through the vocab-parallel serving engine");
     let workload = vp_bench::servebench::ServeWorkload::new(quick);
     let results = vp_bench::servebench::run(&workload);
@@ -636,40 +646,40 @@ fn servebench(quick: bool, json: bool, out: Option<&str>) {
          full-context reference (bitwise greedy equivalence), then serves the Poisson\n\
          stream continuously batched with KV caches drawn from the warmed buffer arena."
     );
-    if json {
+    let written = if json {
         let path = out.unwrap_or("BENCH_serve.json");
         let doc = vp_bench::servebench::to_json(&workload, &results);
-        match std::fs::write(path, &doc) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
-    }
+        write_artifact(path, &doc)
+    } else {
+        Ok(())
+    };
     if results.iter().any(|t| !t.greedy_matches_reference) {
         eprintln!("servebench: greedy decode diverged from the reference — failing");
         std::process::exit(1);
     }
+    written
 }
 
-fn tpsweep(json: bool, out: Option<&str>) {
+fn tpsweep(json: bool, out: Option<&str>) -> Result<(), String> {
     heading("TP sweep — PP × TP crossover on the 2D device grid (4B, 16 devices)");
     let total_devices = 16;
     let series = vp_bench::tpsweep::run(total_devices);
     print!("{}", vp_bench::tpsweep::render(total_devices, &series));
-    if json {
+    let written = if json {
         let path = out.unwrap_or("TPSWEEP.json");
         let doc = vp_bench::tpsweep::to_json(total_devices, &series);
-        match std::fs::write(path, &doc) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
-    }
+        write_artifact(path, &doc)
+    } else {
+        Ok(())
+    };
     if series.iter().any(|s| !s.all_clean() || !s.tp1_matches()) {
         eprintln!("tpsweep: unverified configuration or tp=1 bitwise divergence — failing");
         std::process::exit(1);
     }
+    written
 }
 
-fn timeline(json: bool, out: Option<&str>) {
+fn timeline(json: bool, out: Option<&str>) -> Result<(), String> {
     heading("Timeline — simulated vs measured execution of the pass-VM");
     let cases = vp_bench::timeline::run(3);
     for case in &cases {
@@ -679,37 +689,23 @@ fn timeline(json: bool, out: Option<&str>) {
         print!("{}", case.divergence.render());
         println!();
     }
-    match vp_bench::timeline::write_traces(std::path::Path::new("traces"), &cases) {
-        Ok(paths) => {
-            for p in paths {
-                println!("wrote {}", p.display());
-            }
-            println!("Open next to the simulator's traces in chrome://tracing or Perfetto.");
-        }
-        Err(e) => eprintln!("measured trace export failed: {e}"),
-    }
+    let dir = std::path::Path::new("traces");
+    report_written("traces", vp_bench::timeline::write_traces(dir, &cases))?;
+    println!("Open next to the simulator's traces in chrome://tracing or Perfetto.");
     if json {
         let path = out.unwrap_or("TIMELINE.json");
         let doc = vp_bench::timeline::to_json(&cases);
-        match std::fs::write(path, &doc) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
+        write_artifact(path, &doc)?;
     }
+    Ok(())
 }
 
-fn trace() {
+fn trace() -> Result<(), String> {
     heading("Chrome trace export");
     let dir = std::path::Path::new("traces");
-    match experiments::export_traces(dir) {
-        Ok(paths) => {
-            for p in paths {
-                println!("wrote {}", p.display());
-            }
-            println!("Open in chrome://tracing or https://ui.perfetto.dev.");
-        }
-        Err(e) => eprintln!("trace export failed: {e}"),
-    }
+    report_written("traces", experiments::export_traces(dir))?;
+    println!("Open in chrome://tracing or https://ui.perfetto.dev.");
+    Ok(())
 }
 
 fn schedules() {

@@ -678,6 +678,9 @@ pub(crate) fn device_loop(
     tracer: &Tracer,
     epoch: Instant,
 ) -> Result<DeviceOutcome> {
+    // Every stage is busy at once, so this thread's kernels get only its
+    // share of the cores instead of queueing for a core another stage holds.
+    let _device = vp_tensor::pool::register_device_thread();
     let mode = check_schedule(config, schedule)?;
     let chunks = schedule.chunks();
     let virtual_stages = schedule.virtual_stages();

@@ -557,6 +557,9 @@ struct DeviceState {
 
 impl DeviceState {
     fn run(mut self, rx: &Receiver<Cmd>, results: &Sender<Vec<TokenChoice>>) {
+        // Kernels on this thread use only its share of the cores: every
+        // stage decodes at once, so no core is idle for pool tasks.
+        let _device = vp_tensor::pool::register_device_thread();
         while let Ok(Cmd::Step(plan)) = rx.recv() {
             let choices = self.step(&plan).expect("decode step failed");
             // Every rank merged identically; one report suffices — except

@@ -270,10 +270,12 @@ fn pack_b(
 /// the tile layout [`gemm_chunk`] would otherwise build per call: for each
 /// `KC` panel in ascending `p`, all `⌈n/NR⌉` column tiles of `pc × NR`.
 /// Panel `p0` thus starts at `p0 · ⌈n/NR⌉ · NR` and tile `t` of it
-/// `t · pc · NR` further on ([`packed_tiles`]).
+/// `t · pc · NR` further on ([`packed_tiles`]). The buffer comes from the
+/// arena, like every other tensor backing store, so a pack released by a
+/// dropped engine serves the next engine's pack of the same shape.
 pub(crate) fn pack_nt(b: &[f32], n: usize, k: usize) -> Vec<f32> {
     let ntiles = n.div_ceil(NR);
-    let mut packed = vec![0.0; ntiles * NR * k];
+    let mut packed = alloc::take_zeroed(ntiles * NR * k);
     let g = Gemm {
         a: &[],
         b: Rhs::Plain(b),

@@ -35,7 +35,24 @@
 //! kernel *losing* to serial (speedup 0.74–0.98) with 4 threads on a 1-core
 //! box. On a single-core machine every kernel therefore takes the serial
 //! path, whatever `VP_THREADS` says.
+//!
+//! Last, a pipeline device thread gets only its **core share**. Device
+//! threads compete with the pool for the same cores: with vocabulary
+//! parallelism every stage is busy at once, so a device thread that splits
+//! a GEMM into pool tasks only waits for a core another stage holds. Each
+//! device thread holds a [`DeviceThread`] registration for its lifetime
+//! ([`register_device_thread`]), and on a registered thread the worker
+//! count above is further capped at [`core_share`] of the assumed cores
+//! among the registered device threads — pipeline threads × kernel
+//! threads ≤ cores. The share is derived, not configured: it can only
+//! lower what `VP_THREADS`/[`set_num_threads`] and
+//! `VP_CORES`/[`set_assumed_cores`] allow, and those can only lower it
+//! further. Unregistered threads (the
+//! main thread, benches, communication streams) ignore it. Results stay
+//! bitwise identical at any share, by the determinism contract above.
 
+use std::cell::Cell;
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -282,14 +299,65 @@ pub fn set_assumed_cores(n: usize) {
     ASSUMED_CORES.store(n, Ordering::Release);
 }
 
-/// Thread count the dispatcher will actually use: the configured count
-/// capped at the assumed core count.
-fn effective_threads() -> usize {
-    num_threads().min(assumed_cores()).max(1)
+/// Number of live [`DeviceThread`] registrations, process-wide. It
+/// publishes no other data, so `Relaxed` suffices.
+static DEVICE_THREADS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Registrations held by the current thread (nested guards allowed).
+    static REGISTERED: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Worker count the dispatcher would actually use right now: the
-/// configured thread count capped at the probed/assumed core count.
+/// Kernel parallelism of one of `devices` device threads sharing `cores`:
+/// `max(1, cores / devices)`, so device threads × kernel threads ≤ cores.
+pub fn core_share(cores: usize, devices: usize) -> usize {
+    (cores / devices.max(1)).max(1)
+}
+
+/// A pipeline device thread's registration with the pool (see the module
+/// docs' "Configuration"). While it lives, kernels dispatched from the
+/// registering thread use at most that thread's core share; dropping it
+/// ends the cap and frees the share for the remaining device threads.
+///
+/// The guard is tied to the thread that created it (`!Send`).
+#[must_use = "the core share ends when the registration is dropped"]
+pub struct DeviceThread {
+    _not_send: PhantomData<*const ()>,
+}
+
+/// Registers the calling thread as a pipeline device thread for the
+/// lifetime of the returned guard. Every live guard counts as one device
+/// thread in the share.
+pub fn register_device_thread() -> DeviceThread {
+    DEVICE_THREADS.fetch_add(1, Ordering::Relaxed);
+    REGISTERED.with(|r| r.set(r.get() + 1));
+    DeviceThread {
+        _not_send: PhantomData,
+    }
+}
+
+impl Drop for DeviceThread {
+    fn drop(&mut self) {
+        REGISTERED.with(|r| r.set(r.get() - 1));
+        DEVICE_THREADS.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Thread count the dispatcher will actually use on the calling thread:
+/// the configured count capped at the assumed core count and, on a
+/// registered device thread, at its [`core_share`].
+fn effective_threads() -> usize {
+    let cores = assumed_cores();
+    let mut threads = num_threads().min(cores);
+    if REGISTERED.with(Cell::get) > 0 {
+        threads = threads.min(core_share(cores, DEVICE_THREADS.load(Ordering::Relaxed)));
+    }
+    threads.max(1)
+}
+
+/// Worker count the dispatcher would actually use right now on the
+/// calling thread: the configured thread count capped at the
+/// probed/assumed core count and, on a device thread, at its core share.
 ///
 /// Kernels use this to choose *how* to split work (e.g. the GEMM driver
 /// picks row chunks vs column panels); `1` means every dispatch goes
@@ -299,9 +367,9 @@ pub fn effective_parallelism() -> usize {
 }
 
 /// Whether a kernel with `rows` output rows and ~`work` scalar operations
-/// would be dispatched to the pool (`false` = serial fallback). This is
-/// exactly the predicate `par_rows_mut` uses; the kernel bench records it
-/// as the `path` column.
+/// would be dispatched to the pool from the calling thread (`false` =
+/// serial fallback). This is exactly the predicate `par_rows_mut` uses;
+/// the kernel bench records it as the `path` column.
 pub fn would_parallelize(rows: usize, work: usize) -> bool {
     plan(rows, work).is_some()
 }

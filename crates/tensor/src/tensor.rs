@@ -660,12 +660,29 @@ impl Tensor {
 /// [`Tensor::matmul_nt_packed`] (built by [`Tensor::pack_nt`]).
 ///
 /// It holds the GEMM's `NR`-wide column tiles for every `k` panel, padded
-/// to whole tiles: about the size of the source tensor.
-#[derive(Debug, Clone)]
+/// to whole tiles: about the size of the source tensor. Like a
+/// [`Tensor`], its buffer is taken from and returned to the arena.
+#[derive(Debug)]
 pub struct PackedNt {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
+}
+
+impl Clone for PackedNt {
+    fn clone(&self) -> Self {
+        PackedNt {
+            rows: self.rows,
+            cols: self.cols,
+            data: alloc::take_copy(&self.data),
+        }
+    }
+}
+
+impl Drop for PackedNt {
+    fn drop(&mut self) {
+        alloc::release(std::mem::take(&mut self.data));
+    }
 }
 
 impl PackedNt {

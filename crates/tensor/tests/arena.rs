@@ -106,3 +106,30 @@ fn outstanding_tracks_live_tensors() {
         "dropping the tensor must release its buffer"
     );
 }
+
+#[test]
+fn dropped_pack_returns_its_buffer_for_the_next_pack() {
+    let _guard = arena_lock();
+    alloc::set_enabled(true);
+    let weight = normal(&mut seeded_rng(9), 300, 96, 1.0);
+    let packed = weight.pack_nt();
+    let live = alloc::stats().outstanding;
+    drop(packed);
+    assert_eq!(
+        alloc::stats().outstanding,
+        live - 1,
+        "dropping a pack must release its buffer to the arena"
+    );
+    alloc::reset_counters();
+    let again = weight.pack_nt();
+    let stats = alloc::stats();
+    assert_eq!(
+        (stats.fresh, stats.reuse),
+        (0, 1),
+        "a pack of the same shape must reuse the released buffer: {stats:?}"
+    );
+    let copy = again.clone();
+    let stats = alloc::stats();
+    assert_eq!(stats.fresh + stats.reuse, 2, "a clone draws from the arena");
+    assert_eq!(copy.shape(), again.shape());
+}

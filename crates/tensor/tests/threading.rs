@@ -235,3 +235,100 @@ fn layer_norm_and_gelu_are_bitwise_identical_across_thread_counts() {
     }
     set_num_threads(before);
 }
+
+/// Holds a device-thread registration on a helper thread until the
+/// returned sender is dropped, so a test can run as one of two device
+/// threads.
+fn hold_device_thread() -> (std::sync::mpsc::Sender<()>, std::thread::JoinHandle<()>) {
+    let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+    let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+    let handle = std::thread::spawn(move || {
+        let _device = pool::register_device_thread();
+        ready_tx.send(()).unwrap();
+        let _ = release_rx.recv();
+    });
+    ready_rx.recv().unwrap();
+    (release_tx, handle)
+}
+
+/// Kernel parallelism as seen from a fresh, unregistered thread.
+fn unregistered_parallelism() -> usize {
+    std::thread::spawn(pool::effective_parallelism)
+        .join()
+        .unwrap()
+}
+
+#[test]
+fn core_share_divides_the_cores_among_device_threads() {
+    assert_eq!(pool::core_share(2, 2), 1);
+    assert_eq!(pool::core_share(8, 2), 4);
+    assert_eq!(pool::core_share(1, 4), 1);
+    assert_eq!(pool::core_share(3, 2), 1);
+    assert_eq!(pool::core_share(4, 0), 4, "no device threads: all cores");
+}
+
+#[test]
+fn core_share_caps_only_registered_threads_and_ends_with_the_guard() {
+    let _guard = config_lock();
+    let before = num_threads();
+    set_num_threads(8);
+    pool::set_assumed_cores(4);
+    assert_eq!(pool::effective_parallelism(), 4);
+    let (release, other) = hold_device_thread();
+    let device = pool::register_device_thread();
+    assert_eq!(
+        pool::effective_parallelism(),
+        2,
+        "4 cores / 2 device threads"
+    );
+    assert_eq!(unregistered_parallelism(), 4, "the cap must not leak");
+    drop(device);
+    assert_eq!(
+        pool::effective_parallelism(),
+        4,
+        "the cap ends with the guard"
+    );
+    drop(release);
+    other.join().unwrap();
+    set_num_threads(before);
+}
+
+#[test]
+fn single_thread_config_stays_serial_on_a_device_thread() {
+    let _guard = config_lock();
+    let before = num_threads();
+    set_num_threads(1);
+    let device = pool::register_device_thread();
+    assert_eq!(pool::effective_parallelism(), 1);
+    assert!(!pool::would_parallelize(usize::MAX / 2, usize::MAX));
+    drop(device);
+    set_num_threads(before);
+}
+
+#[test]
+fn device_thread_gemm_runs_serially_and_matches_the_threaded_result() {
+    let _guard = config_lock();
+    let before = num_threads();
+    let (m, k, n) = (32, 64, 16384);
+    let mut rng = seeded_rng(21);
+    let a = normal(&mut rng, m, k, 1.0);
+    let b = normal(&mut rng, k, n, 1.0);
+    set_num_threads(4);
+    assert!(pool::would_parallelize(m, m * k * n), "16 assumed cores");
+    let threaded = a.matmul(&b).unwrap();
+
+    pool::set_assumed_cores(2);
+    let (release, other) = hold_device_thread();
+    let device = pool::register_device_thread();
+    assert_eq!(pool::effective_parallelism(), 1);
+    assert!(
+        !pool::would_parallelize(m, m * k * n),
+        "2 cores shared by 2 device threads must run inline"
+    );
+    let shared = a.matmul(&b).unwrap();
+    drop(device);
+    drop(release);
+    other.join().unwrap();
+    assert_bits_eq(&shared, &threaded, "32x64x16384 at core share 1");
+    set_num_threads(before);
+}
